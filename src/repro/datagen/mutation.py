@@ -12,18 +12,30 @@ Implements the paper's three data-centric mutation classes:
 
 One bug per mutated design (no masking interplay).  Mutants that would
 create a combinational cycle (possible with variable misuse) are rejected
-at enumeration time via a conservative static cycle check.
+at sampling time via a conservative static cycle check.
+
+A mutant shares structure with its golden design: :func:`apply_mutation`
+copies only the path from the module down to the mutated statement plus
+that statement's RHS, and every other node (and the ``decls``/``params``
+tables) is the golden object.  This relies on ASTs being read-only after
+parsing; the only in-place edits in the package are the ones
+:func:`apply_mutation` makes to its own fresh copies.
 """
 
 from __future__ import annotations
 
+import copy
 import difflib
 from dataclasses import dataclass
 
 import networkx as nx
 
 from ..verilog.ast_nodes import (
+    AlwaysBlock,
+    Assignment,
     BinaryOp,
+    CaseItem,
+    ContinuousAssign,
     Identifier,
     Module,
     Node,
@@ -56,7 +68,7 @@ class Mutation:
         kind: "negation", "misuse", or "operation".
         stmt_id: Statement the mutation applies to.
         node_index: Index of the mutated node in the statement RHS
-            pre-order walk (stable across clones).
+            pre-order walk (stable across mutants).
         detail: Human-readable description of the change.
         replacement: For misuse: the new identifier name.  For operation:
             the new operator.  For negation: "insert" or "remove".
@@ -74,14 +86,14 @@ def _rhs_nodes(stmt: Statement) -> list[Node]:
     return list(stmt.rhs.walk())
 
 
-def _similar_names(name: str, candidates: list[str], limit: int = 5) -> list[str]:
-    """Candidates ordered by syntactic similarity to ``name``."""
-    scored = sorted(
+def _similar_names(name: str, candidates: list[str]) -> list[str]:
+    """Candidates ordered by syntactic similarity to ``name`` (stable, so
+    filtering the result equals ranking the filtered candidates)."""
+    return sorted(
         candidates,
         key=lambda c: difflib.SequenceMatcher(None, name, c).ratio(),
         reverse=True,
     )
-    return scored[:limit]
 
 
 def enumerate_mutations(
@@ -89,6 +101,7 @@ def enumerate_mutations(
     kinds: tuple[str, ...] = ("negation", "operation", "misuse"),
     misuse_candidates_per_site: int = 2,
     min_operands: int = 0,
+    restrict_to: set[int] | None = None,
 ) -> list[Mutation]:
     """Enumerate every applicable mutation site in a design.
 
@@ -103,13 +116,20 @@ def enumerate_mutations(
             a degenerate attention vector ([1.0]) that carries no
             localization signal, so data-flow campaigns use
             ``min_operands=2``.
+        restrict_to: Optional stmt_id filter, applied before any
+            per-site work (the result equals filtering the unrestricted
+            list afterwards).
 
     Returns:
         All mutations, statement order then node order.
     """
     mutations: list[Mutation] = []
     signal_names = list(module.decls)
+    # The similarity ranking depends only on the operand: score it once.
+    ranked: dict[str, list[str]] = {}
     for stmt in module.statements():
+        if restrict_to is not None and stmt.stmt_id not in restrict_to:
+            continue
         nodes = _rhs_nodes(stmt)
         n_operands = sum(1 for n in nodes if isinstance(n, Identifier))
         if n_operands < min_operands:
@@ -134,17 +154,18 @@ def enumerate_mutations(
             if "misuse" in kinds and isinstance(node, Identifier):
                 if node.name not in module.decls:
                     continue  # parameters are not misuse targets
-                width = module.decls[node.name].width
-                candidates = [
-                    c
-                    for c in signal_names
-                    if c != node.name
-                    and c != stmt.target.name
-                    and module.decls[c].width == width
-                ]
-                for candidate in _similar_names(
-                    node.name, candidates, misuse_candidates_per_site
-                ):
+                if node.name not in ranked:
+                    width = module.decls[node.name].width
+                    ranked[node.name] = _similar_names(
+                        node.name,
+                        [
+                            c
+                            for c in signal_names
+                            if c != node.name and module.decls[c].width == width
+                        ],
+                    )
+                replacements = [c for c in ranked[node.name] if c != stmt.target.name]
+                for candidate in replacements[:misuse_candidates_per_site]:
                     mutations.append(
                         Mutation(
                             kind="misuse",
@@ -185,7 +206,12 @@ def _negation_mutations(
 
 
 def apply_mutation(module: Module, mutation: Mutation) -> Module:
-    """Apply a mutation to a deep copy of the design.
+    """Apply a mutation to a path copy of the design.
+
+    The mutant is a new :class:`Module` whose nodes on the path down to
+    the mutated statement are shallow copies, whose mutated statement
+    and RHS are fresh copies, and whose every other node is shared with
+    ``module`` by reference.
 
     Returns:
         The mutated module (the input module is never modified).
@@ -194,8 +220,10 @@ def apply_mutation(module: Module, mutation: Mutation) -> Module:
         ValueError: If the mutation site cannot be located or the mutation
             cannot be applied there.
     """
-    mutant: Module = module.clone()  # type: ignore[assignment]
-    stmt = mutant.statement_by_id(mutation.stmt_id)
+    found = _copy_path(module, mutation.stmt_id)
+    if found is None:
+        raise ValueError(f"no statement with id {mutation.stmt_id}")
+    mutant, stmt = found
     nodes = _rhs_nodes(stmt)
     if mutation.node_index >= len(nodes):
         raise ValueError(f"node index {mutation.node_index} out of range")
@@ -213,7 +241,43 @@ def apply_mutation(module: Module, mutation: Mutation) -> Module:
         target_node.name = mutation.replacement
     else:
         raise ValueError(f"unknown mutation kind {mutation.kind!r}")
-    return mutant
+    return mutant  # type: ignore[return-value]
+
+
+#: Node types that can lie on the path from a module to an assignment.
+_PATH_TYPES = (AlwaysBlock, Statement, CaseItem)
+
+
+def _copy_path(node: Node, stmt_id: int) -> tuple[Node, Statement] | None:
+    """Copy ``node`` with a fresh copy of assignment ``stmt_id`` and its RHS.
+
+    Only the nodes on the path down to the assignment are (shallow)
+    copied; everything else is shared.  Returns ``(copy, fresh
+    assignment)``, or None when the assignment is not inside ``node``.
+    """
+    if isinstance(node, (Assignment, ContinuousAssign)):
+        if node.stmt_id != stmt_id:
+            return None
+        fresh = copy.copy(node)
+        fresh.rhs = copy.deepcopy(node.rhs)
+        return fresh, fresh
+    for attr, value in vars(node).items():
+        if isinstance(value, _PATH_TYPES):
+            found = _copy_path(value, stmt_id)
+            if found is not None:
+                clone = copy.copy(node)
+                setattr(clone, attr, found[0])
+                return clone, found[1]
+        elif isinstance(value, list):
+            for i, element in enumerate(value):
+                if not isinstance(element, _PATH_TYPES):
+                    break
+                found = _copy_path(element, stmt_id)
+                if found is not None:
+                    clone = copy.copy(node)
+                    setattr(clone, attr, [*value[:i], found[0], *value[i + 1 :]])
+                    return clone, found[1]
+    return None
 
 
 def _apply_negation(stmt: Statement, node: Node, mutation: Mutation) -> None:
@@ -323,14 +387,16 @@ def sample_mutations(
     rng = random.Random(seed)
     plan: list[Mutation] = []
     all_mutations = enumerate_mutations(
-        module, kinds=tuple(counts), min_operands=min_operands
+        module, kinds=tuple(counts), min_operands=min_operands, restrict_to=restrict_to
     )
-    if restrict_to is not None:
-        all_mutations = [m for m in all_mutations if m.stmt_id in restrict_to]
     if exclude_dead:
         dead = dead_statement_ids(module)
         if dead:
             all_mutations = [m for m in all_mutations if m.stmt_id not in dead]
+    # Negation and operation mutants keep every statement's identifier
+    # list and structure, so the combinational read graph (and with it
+    # the cycle verdict) is the golden design's; only misuse rewires it.
+    golden_cycle = creates_combinational_cycle(module)
     for kind, count in counts.items():
         pool = [m for m in all_mutations if m.kind == kind]
         rng.shuffle(pool)
@@ -342,7 +408,11 @@ def sample_mutations(
                 mutant = apply_mutation(module, mutation)
             except ValueError:
                 continue
-            if creates_combinational_cycle(mutant):
+            if mutation.kind == "misuse":
+                cyclic = creates_combinational_cycle(mutant)
+            else:
+                cyclic = golden_cycle
+            if cyclic:
                 continue
             plan.append(mutation)
             taken += 1

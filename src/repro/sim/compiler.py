@@ -628,15 +628,14 @@ def compile_module(module: Module) -> CompiledProgram:
     """Compile ``module``, reusing the cached program for the same object.
 
     The cache is keyed by ``id(module)`` with a weak reference guard, so
-    campaign mutants (fresh clones) each compile once and golden designs
-    shared across testbenches never recompile.  Entries are evicted when
-    the module object is garbage collected.
+    campaign mutants (each a new :class:`Module`) each compile once and
+    golden designs shared across testbenches never recompile.  Entries
+    are evicted when the module object is garbage collected.
 
-    The key is identity, not content: a module must not be mutated in
-    place after it has been compiled, or later simulators will silently
-    reuse the stale program.  Derive modified designs from ``clone()``
-    (as :func:`repro.datagen.mutation.apply_mutation` does) or call
-    :func:`clear_compile_cache` after an in-place edit.
+    The key is identity, not content: ASTs are read-only after parsing,
+    and a module edited in place after it has been compiled would
+    silently reuse the stale program.  Derive modified designs as new
+    modules, as :func:`repro.datagen.mutation.apply_mutation` does.
     """
     key = id(module)
     entry = _CACHE.get(key)

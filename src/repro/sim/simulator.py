@@ -97,10 +97,10 @@ class Simulator:
     """Instrumented simulator for one parsed module.
 
     Args:
-        module: The design to simulate.  With the compiled engine the
-            module must not be mutated in place afterwards (the compile
-            cache is keyed by object identity); derive modified designs
-            via ``clone()``.
+        module: The design to simulate.  ASTs are read-only after
+            parsing: the compile cache is keyed by object identity, so
+            derive modified designs as new modules (as
+            :func:`repro.datagen.mutation.apply_mutation` does).
         engine: ``"compiled"`` (default), ``"interpreted"``, ``"vector"``,
             or ``"auto"`` (vector for multi-trace suites when the design
             fits 63-bit lanes, compiled scalar otherwise).
@@ -211,7 +211,7 @@ class Simulator:
                     f"module {self.module.name!r} was recompiled mid-suite; "
                     "modules must not be mutated or evicted from the compile "
                     "cache after a Simulator is built (derive changed designs "
-                    "via clone())"
+                    "as new modules, e.g. repro.datagen.apply_mutation)"
                 )
             if self.engine == "vector" or len(stimuli) > 1:
                 from .vector import run_vector_suite, vectorizable

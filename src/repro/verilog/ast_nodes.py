@@ -6,17 +6,21 @@ Every node carries a source location and exposes:
   vocabulary (paper §IV-B: paths are sequences of AST node types, with
   operators mapped to distinct names such as ``And``, ``Or``, ``Not``).
 * ``children()`` — child nodes in source order, enabling generic walks.
-* ``clone()`` — a deep copy, used by the mutation engine so a mutant never
-  aliases the golden design's AST.
 
 Statements additionally carry a stable ``stmt_id`` (assigned by the parser
 in source order) that the simulator, slicer, and explainer all use as the
 statement key.
+
+ASTs are read-only once parsed.  Caches key on node identity (the
+simulator's compile cache on the module object), and a mutant from
+:func:`repro.datagen.mutation.apply_mutation` shares every node it does
+not change with its golden design, so an in-place edit would leak into
+every design that shares the node.  Derive a changed design as a new
+tree instead.
 """
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -81,10 +85,6 @@ class Node:
     def children(self) -> Iterator["Node"]:
         """Yield child nodes in source order."""
         return iter(())
-
-    def clone(self) -> "Node":
-        """Return a deep copy of this subtree."""
-        return copy.deepcopy(self)
 
     def walk(self) -> Iterator["Node"]:
         """Yield this node and all descendants in pre-order."""

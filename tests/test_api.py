@@ -31,7 +31,13 @@ from repro.api import (
     VeriBugSession,
 )
 from repro.core import BugLocalizer, LocalizationEngine, VeriBugConfig
-from repro.datagen import BugInjectionCampaign, CampaignEngine, sample_mutations
+from repro.datagen import (
+    BugInjectionCampaign,
+    CampaignEngine,
+    Mutation,
+    enumerate_mutations,
+    sample_mutations,
+)
 from repro.designs import design_testbench, load_design
 from repro.pipeline import CorpusSpec, generate_corpus_samples, train_pipeline
 from repro.sim import Simulator, TestbenchConfig, generate_testbench_suite
@@ -409,6 +415,21 @@ class TestStreamingCampaign:
         assert report.outcomes == []
         assert report.snapshot.completed == 0
         assert isinstance(report.snapshot, HeatmapSnapshot)
+
+    def test_unknown_statement_is_a_per_mutant_error(self, session):
+        """A mutation naming no statement of the design is reported on
+        its own outcome; the campaign runs the rest of its plan."""
+        module = session.resolve_design("wb_mux_2")
+        good = enumerate_mutations(module, kinds=("operation",))[0]
+        bad = Mutation(
+            kind="negation", stmt_id=9999, node_index=0,
+            detail="no such statement", replacement="insert",
+        )
+        target = module.outputs[0]
+        report = session.campaign("wb_mux_2", target, mutations=[bad, good]).run()
+        assert [o.mutation for o in report.outcomes] == [bad, good]
+        assert "9999" in report.outcomes[0].error
+        assert not report.outcomes[1].error
 
     def test_campaign_resolves_source_and_names(self, session):
         source = (
