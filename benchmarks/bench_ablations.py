@@ -36,13 +36,12 @@ ABLATION_EPOCHS = 15
 
 
 def test_ablation_threshold_sweep(benchmark, paper_session):
-    """Threshold sweep through the session's persistent worker pool.
+    """Threshold sweep through one session's in-process localizer.
 
     Mutants are simulated once (the threshold only gates heatmap
     emission, not simulation) and each threshold localizes the same
-    trace sets via per-request overrides — the supported way to vary
-    thresholds under sharded localization, where the worker-side config
-    snapshot is fixed at pool init.  One pool serves all five sweeps.
+    trace sets via per-request overrides, so one batch of simulated
+    mutants serves all five sweeps.
     """
     module = load_design("wb_mux_2")
     target = "wbs0_we_o"

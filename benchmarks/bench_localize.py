@@ -1,7 +1,7 @@
 """Localization inference throughput: fused/cached arms vs reference.
 
 Measures the Table-III campaign's *localization* phase — model inference
-over every observable mutant's failing/correct trace sets — under six
+over every observable mutant's failing/correct trace sets — under five
 configurations:
 
 * **reference** — the pre-fast-path behavior: one model row per
@@ -20,13 +20,7 @@ configurations:
   kernels (``model_forward_fused``) plus the campaign-scoped
   attention-row memo, both cold at the start of the timed run.  The
   earlier arms pin the head kernels and memo *off* so their historical
-  meaning is preserved;
-* **sharded_workers** — the full fast path (head + memo included,
-  worker-local) sharded across an :class:`repro.runtime.ExecutionRuntime`
-  worker pool at each size in ``--workers`` (pool started and warmed
-  before timing, the way a session amortizes it; worker-local caches and
-  memos start cold).  Scaling is meaningful only with that many physical
-  cores — ``cpu_cores`` is recorded next to the results.
+  meaning is preserved.
 
 Mutant simulation is run once and shared by all arms, so the reported
 speedups isolate inference.  The end-to-end campaign latency (simulate +
@@ -68,7 +62,6 @@ from repro.datagen.campaign import _simulate_mutant  # noqa: E402
 from repro.datagen.mutation import apply_mutation  # noqa: E402
 from repro.designs import REGISTRY, design_info, design_testbench, load_design  # noqa: E402
 from repro.nn import load_state  # noqa: E402
-from repro.runtime import ExecutionRuntime  # noqa: E402
 from repro.sim import Simulator, generate_testbench_suite  # noqa: E402
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -268,44 +261,6 @@ def run_fast(
     return wall, results, cache_stats, memo_stats
 
 
-def run_sharded(
-    fast: LocalizationEngine, cases, localize_batch: int, n_workers: int
-) -> tuple[float, list, dict]:
-    """Time the sharded runtime arm at one worker-pool size.
-
-    The pool is started and warmed *before* the timed region — a session
-    amortizes pool startup across its lifetime, so steady-state shard
-    throughput is the number that matters.  Worker-local context caches
-    and attention-row memos start cold (fresh pool), mirroring the
-    cold-start of the single-process ``fused_head_memo`` arm.
-    """
-    model = fast.model
-    with ExecutionRuntime(n_workers) as runtime:
-        runtime.attach_model(
-            model,
-            cache_enabled=True,
-            cache_max_entries=model.context_cache.max_entries,
-            memo_enabled=True,
-            memo_max_entries=model.attention_memo.max_entries,
-            fast_inference=True,
-        )
-        runtime.warm_up()
-        t0 = time.perf_counter()
-        results = []
-        for start in range(0, len(cases), localize_batch):
-            chunk = cases[start : start + localize_batch]
-            requests = [
-                LocalizationRequest(
-                    c["mutant"], c["target"], c["failing"], c["correct"]
-                )
-                for c in chunk
-            ]
-            results.extend(runtime.localize_many(requests))
-        wall = time.perf_counter() - t0
-        stats = runtime.stats()
-    return wall, results, stats.to_dict()
-
-
 def verify_identical(reference_results, fast_results) -> None:
     """Assert two arms agree: scores within TOL, rankings equal up to ties.
 
@@ -360,12 +315,6 @@ def main() -> None:
     parser.add_argument("--cycles", type=int, default=None, help="cycles per testbench")
     parser.add_argument("--batch", type=int, default=8, help="mutants per shared localization batch")
     parser.add_argument(
-        "--workers",
-        default=None,
-        help="comma-separated pool sizes for the sharded arm"
-        " (default: 1,2,4; smoke: 2; empty string skips the arm)",
-    )
-    parser.add_argument(
         "--repeats", type=int, default=3,
         help="cold-start invocations per single-process arm; min wall is"
         " reported (sub-second arms are noise-dominated in single shots)",
@@ -374,10 +323,6 @@ def main() -> None:
         "--output", default=str(REPO_ROOT / "BENCH_localize.json"), help="result path"
     )
     args = parser.parse_args()
-    if args.workers is None:
-        worker_arms = [2] if args.smoke else [1, 2, 4]
-    else:
-        worker_arms = [int(w) for w in args.workers.split(",") if w.strip()]
     n_traces = args.traces if args.traces is not None else (8 if args.smoke else 20)
     n_cycles = args.cycles if args.cycles is not None else (8 if args.smoke else 12)
     seed = 29
@@ -425,28 +370,6 @@ def main() -> None:
         "fused_head_memo": check_arm("fused_head_memo", head_results),
     }
 
-    sharded_arms = {}
-    for n_workers in worker_arms:
-        sharded_wall, sharded_results, runtime_stats = run_sharded(
-            fast, cases, args.batch, n_workers
-        )
-        sharded_arms[str(n_workers)] = {
-            **arm_metrics(sharded_wall, total_executions),
-            "speedup_vs_single_process": round(head_wall / sharded_wall, 2),
-            "worker_cache_hit_rate": runtime_stats["worker_cache"]["hit_rate"],
-            "worker_memo_hit_rate": runtime_stats["worker_memo"]["hit_rate"],
-            "shard_sizes_last_call": runtime_stats["last_shard_sizes"],
-            "rankings_identical": check_arm(
-                f"sharded_workers[{n_workers}]", sharded_results
-            ),
-        }
-    if worker_arms and (os.cpu_count() or 1) < max(worker_arms):
-        sharded_arms["note"] = (
-            f"host exposes {os.cpu_count()} CPU core(s): worker arms beyond"
-            " that measure dispatch overhead only — shard speedup requires"
-            " one physical core per worker"
-        )
-
     e2e_ref = run_end_to_end(reference, workload, n_traces, n_cycles, seed, 1)
     e2e_fast = run_end_to_end(fast, workload, n_traces, n_cycles, seed, args.batch)
 
@@ -492,7 +415,6 @@ def main() -> None:
             "speedup_vs_dedup_batch": round(dedup_wall / head_wall, 2),
             "arm_rankings_identical": arm_ok,
             "rankings_identical": not divergences,
-            "sharded_workers": sharded_arms,
         },
         "end_to_end_campaign": {
             "reference_wall_s": round(e2e_ref, 4),
@@ -522,16 +444,6 @@ def main() -> None:
         f"{'identical' if not divergences else 'DIVERGED'} over "
         f"{len(cases)} mutants"
     )
-    for n_workers, sharded in sharded_arms.items():
-        if not isinstance(sharded, dict):
-            continue
-        print(
-            f"sharded ({n_workers} workers, {os.cpu_count()} cores):"
-            f" {sharded['wall_s']:.2f}s"
-            f" ({sharded['speedup_vs_single_process']}x vs single-process,"
-            f" worker cache hit rate {sharded['worker_cache_hit_rate']:.1%},"
-            f" memo {sharded['worker_memo_hit_rate']:.1%})"
-        )
     print(
         f"end-to-end campaign: {e2e_ref:.2f}s -> {e2e_fast:.2f}s "
         f"({results['end_to_end_campaign']['speedup']}x)"

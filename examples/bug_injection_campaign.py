@@ -10,7 +10,7 @@ equivalent of `python -m repro campaign --design wb_mux_2`.
 With `with_workers(2)` the session owns one persistent worker pool
 (started lazily, reused by corpus generation and both targets' campaigns,
 released by the `with` block) instead of churning a process pool per
-run; sharded localization rides the same pool.
+run; the pool simulates mutants while localization stays in-process.
 
 Run:  python examples/bug_injection_campaign.py
 """
@@ -81,14 +81,13 @@ def _run_campaigns(session: VeriBugSession) -> None:
           f" ({stats['cross_epoch_hit_rate']:.1%} cross-mutant,"
           f" {int(stats['entries'])} entries)")
     runtime = session.runtime_stats()
-    if runtime is not None:
+    if "pool_size" in runtime:
         print(f"runtime: one pool of {runtime['pool_size']}"
               f" ({runtime['start_method']}) started"
               f" {runtime['pools_started']}x for"
               f" {runtime['campaigns_served']} campaigns +"
-              f" {runtime['corpus_runs']} corpus run(s);"
-              f" worker cache hit rate"
-              f" {runtime['worker_cache']['hit_rate']:.1%}")
+              f" {runtime['corpus_runs']} corpus run(s),"
+              f" {runtime['tasks_dispatched']} task(s)")
 
 
 if __name__ == "__main__":

@@ -110,8 +110,8 @@ class VeriBugSession:
 
     With ``config.n_workers > 0`` the session also owns a persistent
     :class:`~repro.runtime.ExecutionRuntime` — one lazily-started worker
-    pool serving mutant simulation, corpus generation, and sharded
-    localization for every campaign the session runs.  Call
+    pool serving mutant simulation and corpus generation for every
+    campaign the session runs (localization stays in-process).  Call
     :meth:`close` (or use the session as a context manager) to release
     the pool; sequential sessions have nothing to release.
 
@@ -150,26 +150,17 @@ class VeriBugSession:
             max_entries=self.config.cache_max_entries,
         )
         # The session likewise owns the execution runtime: one lazily
-        # started persistent worker pool serving campaign simulation,
-        # corpus generation, and sharded localization until close().
+        # started persistent worker pool serving campaign simulation and
+        # corpus generation until close().
         self._closed = False
         self._runtime: ExecutionRuntime | None = None
-        if self.config.n_workers > 0 and self.config.pool_policy == "session":
+        if self.config.n_workers > 0:
             self._runtime = ExecutionRuntime(self.config.n_workers)
-            self._runtime.attach_model(
-                model,
-                cache_enabled=cache_enabled,
-                cache_max_entries=self.config.cache_max_entries,
-                memo_enabled=cache_enabled,
-                memo_max_entries=self.config.cache_max_entries,
-                fast_inference=self.config.fast_inference,
-            )
         self._localizer = LocalizationEngine(
             model,
             self.encoder,
             self.config.model,
             fast_inference=self.config.fast_inference,
-            runtime=self._runtime,
         )
         self._trainer: Trainer | None = None
         self._corpus: "IngestedCorpus | None" = None
@@ -348,7 +339,7 @@ class VeriBugSession:
                 exclude_dead=True,
             )
         # Per-campaign n_workers overrides that differ from the session
-        # pool's size fall back to an ephemeral pool for that campaign;
+        # pool's size get a pool scoped to that campaign;
         # matching (or omitted) overrides drain through the shared one.
         # A closed session defaults to sequential (no surprise pools),
         # but an explicit per-call override is still honored.
@@ -398,7 +389,7 @@ class VeriBugSession:
         # A spec that doesn't ask for workers of its own inherits the
         # session pool (results are bit-identical either way, so the
         # default is never a silent de-parallelization); an explicit
-        # differing worker count gets an ephemeral pool sized to it.
+        # differing worker count gets a call-scoped pool sized to it.
         if spec.n_workers == 0 and session_workers > 0:
             spec = dataclasses.replace(spec, n_workers=session_workers)
         runtime = (
@@ -435,9 +426,9 @@ class VeriBugSession:
     def runtime(self) -> ExecutionRuntime | None:
         """The session-owned execution runtime (None when sequential).
 
-        Present when ``config.n_workers > 0`` with the "session" pool
-        policy; its process pool starts lazily on the first parallel
-        dispatch and persists across campaigns until :meth:`close`.
+        Present when ``config.n_workers > 0``; its process pool starts
+        lazily on the first parallel dispatch and persists across
+        campaigns until :meth:`close`.
         """
         return self._runtime
 
@@ -447,7 +438,7 @@ class VeriBugSession:
         The session remains usable afterwards, falling back to
         single-process execution: engines built after close() resolve to
         zero workers unless a call passes an explicit ``n_workers``
-        override (which gets an ephemeral pool scoped to that call).
+        override (which gets a pool scoped to that call).
         Sessions used as context managers close on exit::
 
             with VeriBugSession.from_checkpoint(path, config) as session:
@@ -456,8 +447,6 @@ class VeriBugSession:
         self._closed = True
         if self._runtime is not None:
             self._runtime.close()
-            # Detach so campaign/corpus engines stop routing to it.
-            self._localizer.runtime = None
             self._runtime = None
 
     def __enter__(self) -> "VeriBugSession":
@@ -532,13 +521,9 @@ class VeriBugSession:
         that regressed.  The counters are process-local: mutants simulated
         inside pool workers accrue on the workers, not here.
 
-        For sessions with a live worker runtime the dict additionally
-        includes pool size/reuse counts, the last localization shard
-        sizes, the weight epoch, and the aggregated worker-side
-        context-cache and attention-memo hit rates (see
-        :class:`repro.runtime.RuntimeStats`) — the numbers that show the
-        per-worker caches losing cross-shard sharing as shard counts
-        grow.
+        For sessions with a worker runtime the dict additionally includes
+        the pool size, start method and reuse counts (see
+        :class:`repro.runtime.RuntimeStats`).
         """
         from ..sim.compiler import compile_cache_stats
         from ..sim.simulator import engine_stats

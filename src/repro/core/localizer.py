@@ -85,13 +85,6 @@ class LocalizationEngine:
         fast_inference: Use the deduplicated no-grad inference path (see
             :class:`Explainer`); results are identical to the reference
             per-execution path.
-        runtime: Optional :class:`~repro.runtime.ExecutionRuntime`.  When
-            set (the session wires its own), :meth:`localize_many`
-            batches of two or more requests are sharded across the
-            runtime's workers — each worker localizing its span on a
-            read-only weight mirror with worker-local execution dedup
-            and context cache — and merged back in request order.
-            Rankings are bit-identical to the single-process fast path.
     """
 
     def __init__(
@@ -100,31 +93,13 @@ class LocalizationEngine:
         encoder: BatchEncoder,
         config: VeriBugConfig | None = None,
         fast_inference: bool = True,
-        runtime=None,
     ):
         self.model = model
         self.encoder = encoder
         self.config = config or model.config
         self.fast_inference = fast_inference
-        self.runtime = runtime
         self.explainer = Explainer(
             model, encoder, self.config, fast_inference=fast_inference
-        )
-
-    def _wants_shards(self, n_requests: int) -> bool:
-        """Route to the sharded path only when parallelism can pay.
-
-        A single request (or a single-worker pool) would pay the
-        serialization toll without any concurrent compute, so those stay
-        on the in-process fast path; the reference (autograd) arm never
-        shards — it exists to pin behavior, not to be fast.
-        """
-        return (
-            self.fast_inference
-            and self.runtime is not None
-            and not self.runtime.closed
-            and self.runtime.n_workers >= 2
-            and n_requests >= 2
         )
 
     def localize(
@@ -211,9 +186,6 @@ class LocalizationEngine:
                 )
                 for request in requests
             ]
-
-        if self._wants_shards(len(requests)):
-            return self.runtime.localize_many(requests, batch_size=batch_size)
 
         self.model.context_cache.begin_epoch()
         self.model.attention_memo.begin_epoch()

@@ -394,31 +394,12 @@ class VeriBugModel(Module):
         #: (raw-ndarray head kernels).  The autograd Tensor path stays
         #: the reference oracle and is always used while grad is on.
         self.fused_head = True
-        #: Callbacks fired whenever the weights change wholesale
-        #: (``load_state_dict`` or a completed ``Trainer.train`` run) —
-        #: the execution runtime registers here to version its read-only
-        #: worker snapshots (see ``repro.runtime``).
-        self._weight_listeners: list = []
-
-    def add_weight_listener(self, callback) -> None:
-        """Register a zero-arg callback fired after every weight change."""
-        self._weight_listeners.append(callback)
-
-    def remove_weight_listener(self, callback) -> None:
-        """Detach a listener (no-op when absent, e.g. double close)."""
-        try:
-            self._weight_listeners.remove(callback)
-        except ValueError:
-            pass
 
     def _on_state_loaded(self) -> None:
         # New weights invalidate every memoized context embedding and
-        # attention row ...
+        # attention row.
         self.context_cache.clear()
         self.attention_memo.clear()
-        # ... and every externally-held snapshot of the old weights.
-        for callback in list(self._weight_listeners):
-            callback()
 
     # ------------------------------------------------------------------
     # Forward

@@ -126,9 +126,8 @@ class Trainer:
                     f"loss={history.losses[-1]:.4f} "
                     f"ce={history.ce_terms[-1]:.4f} reg={history.reg_terms[-1]:.4f}"
                 )
-        # Weights changed wholesale: flush memoized embeddings and let
-        # weight listeners (e.g. an execution runtime holding read-only
-        # worker snapshots) version the new state.
+        # Weights changed wholesale: flush memoized embeddings and
+        # attention rows.
         self.model._on_state_loaded()
         return history
 

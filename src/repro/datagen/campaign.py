@@ -18,8 +18,8 @@ the campaign fans the simulate/classify phase out across an
 mutation; the campaign context — golden design, stimuli, golden traces —
 is shipped once per worker and referenced by id afterwards).  A session
 passes its own persistent runtime so consecutive campaigns reuse one
-pool; legacy callers that only set ``n_workers`` get an ephemeral
-runtime scoped to the call.  Parallel campaigns are bit-identical to
+pool; callers that only set ``n_workers`` get a runtime scoped to the
+call.  Parallel campaigns are bit-identical to
 sequential ones because every mutant derives its extra testbench seeds
 from its own ``node_index``
 (:func:`repro.runtime.seeding.mutant_topup_seed`), never from the
@@ -224,13 +224,12 @@ class CampaignEngine:
         seed: Base seed for the testbench suite.
         min_correct_traces / max_extra_batches: Correct-trace top-up policy.
         n_workers: When > 0, simulate mutants on a worker pool of this
-            size; localization batches may additionally shard across the
-            same pool when the localizer carries a runtime.
+            size; localization always runs in this process.
         runtime: Optional :class:`~repro.runtime.ExecutionRuntime` to
             fan simulation out on.  A session passes its persistent
             pool so consecutive campaigns reuse one set of workers;
-            when omitted and ``n_workers > 0`` an ephemeral runtime is
-            created (and closed) per :meth:`iter_localized` execution.
+            when omitted and ``n_workers > 0`` a runtime is created (and
+            closed) per :meth:`iter_localized` execution.
         localize_batch: Cap on the number of observable mutants whose
             localizations are encoded into shared model forward passes
             (the inference fast path).  Batches ramp 1 → 2 → 4 → … up to
@@ -400,7 +399,7 @@ class CampaignEngine:
         # No (live) shared runtime: scope one to this execution, e.g. for
         # legacy callers that only pass n_workers, or a handle executed
         # after its owning session closed.
-        with ExecutionRuntime.ephemeral(self.n_workers) as runtime:
+        with ExecutionRuntime(self.n_workers) as runtime:
             # yield from inside the context manager so results stream to
             # the caller while the pool stays alive.
             yield from runtime.simulate_mutants(context, mutations)

@@ -34,11 +34,13 @@ from ..verilog.ast_nodes import (
     AlwaysBlock,
     Assignment,
     BinaryOp,
+    BitSelect,
     CaseItem,
     ContinuousAssign,
     Identifier,
     Module,
     Node,
+    PartSelect,
     Statement,
     UnaryOp,
 )
@@ -288,8 +290,19 @@ def _apply_negation(stmt: Statement, node: Node, mutation: Mutation) -> None:
     else:
         if not isinstance(node, Identifier):
             raise ValueError("negation-insert site is not an identifier")
-        wrapper = UnaryOp(op="~", operand=node, line=node.line, col=node.col)
-        _replace_child(stmt, node, wrapper)
+        # Verilog can only select from a named signal, so a select base
+        # stays an identifier and the whole select is negated: ``~x[7:0]``.
+        site = next(
+            (
+                parent
+                for parent in stmt.rhs.walk()
+                if isinstance(parent, (BitSelect, PartSelect))
+                and parent.base is node
+            ),
+            node,
+        )
+        wrapper = UnaryOp(op="~", operand=site, line=site.line, col=site.col)
+        _replace_child(stmt, site, wrapper)
 
 
 def _replace_child(stmt: Statement, old: Node, new: Node) -> None:

@@ -159,7 +159,7 @@ def _generate_corpus_samples(
     or — when ``spec.n_workers > 0`` — fanned out across an
     :class:`~repro.runtime.ExecutionRuntime` worker pool (the caller's
     ``runtime`` when given, e.g. the owning session's persistent pool;
-    an ephemeral one otherwise).  All paths yield samples in design
+    one scoped to this call otherwise).  All paths yield samples in design
     order, so the execution strategy never changes the corpus.
     """
     design_sources = _corpus_design_sources(spec, seed)
@@ -169,8 +169,8 @@ def _generate_corpus_samples(
         if runtime is not None:
             results = runtime.map_corpus(design_sources, spec, seed)
         else:
-            with ExecutionRuntime.ephemeral(spec.n_workers) as ephemeral:
-                results = ephemeral.map_corpus(design_sources, spec, seed)
+            with ExecutionRuntime(spec.n_workers) as scoped:
+                results = scoped.map_corpus(design_sources, spec, seed)
     else:
         results = [
             _design_samples(index, source, spec, seed)

@@ -2,11 +2,10 @@
 
 One subsystem owns every process pool in the system.  The
 :class:`ExecutionRuntime` is a lazily-started, spawn-safe, persistent
-pool that serves campaign mutant simulation, corpus generation, and
-sharded localization with shared read-only model weights; see
+pool that serves campaign mutant simulation and corpus generation;
+localization always runs in the calling process.  See
 :mod:`repro.runtime.runtime` for the full design and
-``docs/architecture.md`` ("Execution runtime") for the lifecycle
-diagram.
+``docs/architecture.md`` ("Execution runtime") for the lifecycle.
 
 Typical use is indirect — :class:`repro.api.VeriBugSession` owns a
 runtime whenever ``SessionConfig.n_workers > 0`` — but the layer is
@@ -15,24 +14,17 @@ public for callers that want pool control without a session::
     from repro.runtime import ExecutionRuntime
 
     with ExecutionRuntime(4) as runtime:
-        runtime.attach_model(model)
-        results = runtime.localize_many(requests)
+        engine = CampaignEngine(localizer, n_workers=4, runtime=runtime)
+        result = engine.run(module, target)
 """
 
-from .runtime import (
-    SPAWN_SAFE_METHODS,
-    ExecutionRuntime,
-    RuntimeStats,
-    plan_shards,
-)
-from .seeding import corpus_design_seed, derive_seed, mutant_topup_seed
+from .runtime import SPAWN_SAFE_METHODS, ExecutionRuntime, RuntimeStats
+from .seeding import corpus_design_seed, mutant_topup_seed
 
 __all__ = [
     "SPAWN_SAFE_METHODS",
     "ExecutionRuntime",
     "RuntimeStats",
     "corpus_design_seed",
-    "derive_seed",
     "mutant_topup_seed",
-    "plan_shards",
 ]

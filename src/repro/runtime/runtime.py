@@ -1,11 +1,9 @@
-"""The session-scoped execution runtime: one pool, every parallel workload.
+"""The session-scoped execution runtime: one pool for simulation work.
 
 Before this layer existed the system started a throwaway
-``ProcessPoolExecutor`` in three places — campaign simulation, corpus
-generation, and (never) localization — paying full process startup per
-run and leaving localization single-process.  :class:`ExecutionRuntime`
-replaces all three with one session-owned, lazily-started, persistent
-worker pool:
+``ProcessPoolExecutor`` per campaign and per corpus run, paying full
+process startup every time.  :class:`ExecutionRuntime` replaces both
+with one session-owned, lazily-started, persistent worker pool:
 
 * **Spawn-safe by construction.**  Pools use an explicit ``spawn`` (or
   ``forkserver``) multiprocessing context; ``fork`` is rejected because
@@ -13,42 +11,26 @@ worker pool:
   lock states mid-flight — a correctness hazard this runtime exists to
   rule out.  Determinism comes from task identity instead: every random
   stream is derived from *what* is computed (design index, mutation
-  node, shard), never from *where* (see :mod:`repro.runtime.seeding`).
-* **Workers carry read-only weights.**  The pool initializer ships a
-  pickled ``state_dict`` snapshot; workers rebuild the model without any
-  autograd state (localization runs the no-grad fused path only).  When
-  the owning session retrains or reloads weights, the model's
-  ``_on_state_loaded`` hook bumps the runtime's *weight epoch*; the next
-  localization dispatch attaches an epoch-tagged refresh snapshot that
-  stale workers apply before computing.  No pool restart, no retrain
-  races: a shard tagged epoch ``e`` is always computed with epoch-``e``
-  weights.
-* **Sharded localization.**  :meth:`localize_many` partitions a request
-  batch into contiguous, balanced shards (one per worker at most) and
-  merges results in shard order, so the output ordering — and, because
-  attention is segment-local and the fused kernel padding-invariant,
-  every ranking and suspiciousness score — is bit-identical to the
-  single-process fast path.  Execution dedup and the structural
-  context-embedding cache stay worker-local; workers report cache-hit
-  deltas that the runtime aggregates into fleet-wide stats.
+  node), never from *where* (see :mod:`repro.runtime.seeding`).
+* **Workers simulate only.**  The pool serves mutant simulation and
+  corpus generation.  Localization always runs in the parent process
+  (:meth:`LocalizationEngine.localize_many`), where the context cache
+  and attention-row memo see every request; workers carry no model.
 * **Sticky campaign contexts.**  Mutant-simulation tasks reference their
   campaign context (golden design, stimuli, golden traces) by id and
   carry it as a parent-side memoized pickle blob, deserialized at most
   once per worker per campaign.
-* **Zero-repack trace wire format.**  Everything that crosses the pool
-  boundary carrying executions (mutant trace sets coming back from
-  simulation tasks, shard requests going out to localization workers)
-  is columnar end to end: the simulator records straight into
-  :class:`~repro.sim.trace.ExecutionColumns`, ``Trace.__getstate__``
-  ships those arrays as-is, and the receiving side consumes them
-  without ever materializing record objects — no per-execution packing
-  or unpacking happens on either side of the boundary.
+* **Zero-repack trace wire format.**  Mutant trace sets coming back from
+  simulation tasks are columnar end to end: the simulator records
+  straight into :class:`~repro.sim.trace.ExecutionColumns`,
+  ``Trace.__getstate__`` ships those arrays as-is, and the parent
+  consumes them without ever materializing record objects.
 
 Lifecycle: the runtime is cheap to construct (no processes until the
 first parallel dispatch), reusable across campaigns/corpora, and closed
 by :meth:`close` (or ``with`` scope).  :class:`repro.api.VeriBugSession`
-owns one when ``SessionConfig.n_workers > 0``; legacy entry points build
-an ephemeral one per call via :meth:`ExecutionRuntime.ephemeral`.
+owns one when ``SessionConfig.n_workers > 0``; entry points without a
+session build one per call and close it on return.
 """
 
 from __future__ import annotations
@@ -56,60 +38,23 @@ from __future__ import annotations
 import multiprocessing
 import pickle
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Iterator
+from dataclasses import asdict, dataclass
+from typing import Iterable, Iterator
 
 from .worker import (
     MissingWorkerContext,
-    ModelPayload,
-    StaleWorkerWeights,
-    _init_worker,
     _task_corpus_design,
-    _task_localize_shard,
-    _task_refresh_weights,
     _task_simulate_mutant,
     _task_warmup,
 )
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..core.localizer import LocalizationRequest, LocalizationResult
-    from ..core.model import VeriBugModel
 
 #: Start methods that do not inherit parent state mid-flight.
 SPAWN_SAFE_METHODS = ("spawn", "forkserver")
 
 
-def plan_shards(n_items: int, n_shards: int) -> list[tuple[int, int]]:
-    """Partition ``n_items`` into ≤ ``n_shards`` contiguous balanced spans.
-
-    Spans cover the items in order and differ in size by at most one, so
-    concatenating per-shard results in span order reproduces the input
-    order exactly — the deterministic merge the sharded localization
-    path relies on.
-    """
-    if n_items <= 0:
-        return []
-    n_shards = max(1, min(n_shards, n_items))
-    base, extra = divmod(n_items, n_shards)
-    spans: list[tuple[int, int]] = []
-    start = 0
-    for index in range(n_shards):
-        size = base + (1 if index < extra else 0)
-        spans.append((start, start + size))
-        start += size
-    return spans
-
-
 @dataclass(frozen=True)
 class RuntimeStats:
-    """A point-in-time snapshot of one runtime's counters.
-
-    ``worker_cache_*`` / ``worker_memo_*`` aggregate the per-shard deltas
-    reported by workers — the fleet-wide equivalents of the in-process
-    ``ContextEmbeddingCache.stats()`` and ``AttentionRowMemo.stats()``.
-    They make the sharded hit-rate drop (worker-local caches see only
-    their shard's structural overlap) visible without the bench script.
-    """
+    """A point-in-time snapshot of one runtime's counters."""
 
     n_workers: int
     start_method: str
@@ -118,27 +63,7 @@ class RuntimeStats:
     pools_started: int
     campaigns_served: int
     corpus_runs: int
-    localize_calls: int
     tasks_dispatched: int
-    weight_epoch: int
-    weight_refresh_dispatches: int
-    last_shard_sizes: tuple[int, ...] = ()
-    worker_cache_hits: int = 0
-    worker_cache_misses: int = 0
-    worker_cache_cross_epoch_hits: int = 0
-    worker_memo_hits: int = 0
-    worker_memo_misses: int = 0
-    worker_memo_cross_epoch_hits: int = 0
-
-    @property
-    def worker_cache_hit_rate(self) -> float:
-        total = self.worker_cache_hits + self.worker_cache_misses
-        return self.worker_cache_hits / total if total else 0.0
-
-    @property
-    def worker_memo_hit_rate(self) -> float:
-        total = self.worker_memo_hits + self.worker_memo_misses
-        return self.worker_memo_hits / total if total else 0.0
 
     def to_dict(self) -> dict:
         """JSON-friendly view (used by ``campaign --json``)."""
@@ -150,23 +75,7 @@ class RuntimeStats:
             "pools_started": self.pools_started,
             "campaigns_served": self.campaigns_served,
             "corpus_runs": self.corpus_runs,
-            "localize_calls": self.localize_calls,
             "tasks_dispatched": self.tasks_dispatched,
-            "weight_epoch": self.weight_epoch,
-            "weight_refresh_dispatches": self.weight_refresh_dispatches,
-            "last_shard_sizes": list(self.last_shard_sizes),
-            "worker_cache": {
-                "hits": self.worker_cache_hits,
-                "misses": self.worker_cache_misses,
-                "hit_rate": round(self.worker_cache_hit_rate, 4),
-                "cross_epoch_hits": self.worker_cache_cross_epoch_hits,
-            },
-            "worker_memo": {
-                "hits": self.worker_memo_hits,
-                "misses": self.worker_memo_misses,
-                "hit_rate": round(self.worker_memo_hit_rate, 4),
-                "cross_epoch_hits": self.worker_memo_cross_epoch_hits,
-            },
         }
 
 
@@ -175,16 +84,7 @@ class _Counters:
     pools_started: int = 0
     campaigns_served: int = 0
     corpus_runs: int = 0
-    localize_calls: int = 0
     tasks_dispatched: int = 0
-    weight_refresh_dispatches: int = 0
-    last_shard_sizes: tuple[int, ...] = ()
-    worker_cache_hits: int = 0
-    worker_cache_misses: int = 0
-    worker_cache_cross_epoch_hits: int = 0
-    worker_memo_hits: int = 0
-    worker_memo_misses: int = 0
-    worker_memo_cross_epoch_hits: int = 0
 
 
 class ExecutionRuntime:
@@ -225,14 +125,8 @@ class ExecutionRuntime:
         self.n_workers = n_workers
         self._mp_context = mp_context
         self._pool: ProcessPoolExecutor | None = None
-        self._pool_weight_epoch: int | None = None
         self._closed = False
         self._counters = _Counters()
-        # Weight-snapshot plumbing (populated by attach_model).
-        self._model: "VeriBugModel | None" = None
-        self._model_options: dict = {}
-        self._weight_epoch = 0
-        self._snapshot_cache: tuple[int, bytes] | None = None
         self._next_ctx_id = 0
 
     # ------------------------------------------------------------------
@@ -257,28 +151,9 @@ class ExecutionRuntime:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    @classmethod
-    def ephemeral(cls, n_workers: int, **kwargs) -> "ExecutionRuntime":
-        """A runtime meant to live for one call (legacy pool-per-run paths).
-
-        Identical to a session runtime — same spawn context, same task
-        protocol — just owned by the call site, which must ``close()``
-        it (or use it as a context manager).
-        """
-        return cls(n_workers, **kwargs)
-
     def close(self) -> None:
-        """Shut the pool down and join every worker.  Idempotent.
-
-        Also detaches from the model so closed runtimes (and their
-        memoized weight snapshots) are not pinned alive by the model's
-        listener list.
-        """
+        """Shut the pool down and join every worker.  Idempotent."""
         self._closed = True
-        if self._model is not None:
-            self._model.remove_weight_listener(self._on_weights_changed)
-            self._model = None
-        self._snapshot_cache = None
         pool, self._pool = self._pool, None
         if pool is not None:
             pool.shutdown(wait=True)
@@ -287,171 +162,26 @@ class ExecutionRuntime:
         if self._closed:
             raise RuntimeError("ExecutionRuntime is closed")
         if self._pool is None:
-            blob = self._snapshot_blob() if self._model is not None else None
-            self._pool_weight_epoch = self._weight_epoch
             self._pool = ProcessPoolExecutor(
                 max_workers=self.n_workers,
                 mp_context=self._mp_context,
-                initializer=_init_worker,
-                initargs=(blob,),
             )
             self._counters.pools_started += 1
         return self._pool
 
     def warm_up(self) -> list[int]:
-        """Force every worker process to exist (and initialize) now.
+        """Force every worker process to exist now.
 
         Submitting ``n_workers`` tasks makes the executor spawn its full
-        complement; benchmarks call this so pool startup is excluded
-        from timed regions the way a long-lived service would amortize
-        it.  Returns the worker PIDs that answered.
+        complement, so a caller can keep pool startup out of a timed
+        region the way a long-lived session amortizes it.  Returns the
+        worker PIDs that answered.
         """
         pool = self._ensure_pool()
         futures = [
             pool.submit(_task_warmup, 0.05) for _ in range(self.n_workers)
         ]
         return [future.result() for future in futures]
-
-    # ------------------------------------------------------------------
-    # Weights
-    # ------------------------------------------------------------------
-    def attach_model(
-        self,
-        model: "VeriBugModel",
-        *,
-        cache_enabled: bool = True,
-        cache_max_entries: int = 100_000,
-        memo_enabled: bool = True,
-        memo_max_entries: int = 100_000,
-        fast_inference: bool = True,
-    ) -> None:
-        """Bind the session's model so workers can mirror it read-only.
-
-        Registers a weight listener on the model: ``Trainer.train`` and
-        ``load_state_dict`` both fire ``_on_state_loaded``, which bumps
-        this runtime's weight epoch and invalidates the memoized
-        snapshot.  Workers refresh lazily, per shard, via the epoch tag.
-        """
-        self._model = model
-        self._model_options = {
-            "cache_enabled": cache_enabled,
-            "cache_max_entries": cache_max_entries,
-            "memo_enabled": memo_enabled,
-            "memo_max_entries": memo_max_entries,
-            "fast_inference": fast_inference,
-        }
-        model.add_weight_listener(self._on_weights_changed)
-
-    def _on_weights_changed(self) -> None:
-        self._weight_epoch += 1
-        self._snapshot_cache = None
-        if self._pool is not None:
-            self._broadcast_weights()
-
-    def _broadcast_weights(self) -> None:
-        """Best-effort push of the new snapshot to every live worker.
-
-        One refresh task per worker (each sleeps briefly so the batch
-        spreads across the pool rather than one idle worker draining
-        them all) and the pool is marked current: subsequent shard
-        dispatches stop attaching snapshots.  A worker the broadcast
-        missed raises :class:`StaleWorkerWeights` on its next shard and
-        the parent retries that shard with the snapshot attached, so
-        the broadcast is an optimization, never a correctness premise.
-        """
-        blob = self._snapshot_blob()
-        for _ in range(self.n_workers):
-            self._pool.submit(_task_refresh_weights, blob, 0.02)
-        self._pool_weight_epoch = self._weight_epoch
-        self._counters.weight_refresh_dispatches += 1
-
-    @property
-    def weight_epoch(self) -> int:
-        return self._weight_epoch
-
-    def _snapshot_blob(self) -> bytes:
-        """The current weights as a pickled :class:`ModelPayload` (memoized)."""
-        if self._model is None:
-            raise RuntimeError("no model attached to this runtime")
-        if (
-            self._snapshot_cache is None
-            or self._snapshot_cache[0] != self._weight_epoch
-        ):
-            payload = ModelPayload(
-                config=self._model.config,
-                state=self._model.state_dict(),
-                epoch=self._weight_epoch,
-                **self._model_options,
-            )
-            self._snapshot_cache = (
-                self._weight_epoch,
-                pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL),
-            )
-        return self._snapshot_cache[1]
-
-    # ------------------------------------------------------------------
-    # Localization
-    # ------------------------------------------------------------------
-    def localize_many(
-        self, requests: list["LocalizationRequest"], batch_size: int = 512
-    ) -> list["LocalizationResult"]:
-        """Shard a request batch across workers; merge deterministically.
-
-        Results are returned in request order (shards are contiguous
-        spans concatenated in span order) and are bit-identical to
-        :meth:`LocalizationEngine.localize_many`'s single-process fast
-        path — batch composition cannot change any attention weight.
-        """
-        if not requests:
-            return []
-        pool = self._ensure_pool()
-        epoch = self._weight_epoch
-        # Weight changes are pushed to workers eagerly (see
-        # _broadcast_weights); shards normally carry no snapshot and the
-        # per-shard epoch check plus the retry below close the gap for
-        # workers the broadcast missed.
-        refresh = (
-            self._snapshot_blob() if epoch != self._pool_weight_epoch else None
-        )
-        shards = plan_shards(len(requests), self.n_workers)
-        futures = [
-            pool.submit(
-                _task_localize_shard,
-                epoch,
-                requests[start:end],
-                batch_size,
-                refresh,
-            )
-            for start, end in shards
-        ]
-        results: list["LocalizationResult"] = []
-        counters = self._counters
-        counters.localize_calls += 1
-        counters.tasks_dispatched += len(futures)
-        counters.last_shard_sizes = tuple(end - start for start, end in shards)
-        for index, future in enumerate(futures):
-            try:
-                shard_results, delta = future.result()
-            except StaleWorkerWeights:
-                start, end = shards[index]
-                counters.weight_refresh_dispatches += 1
-                shard_results, delta = pool.submit(
-                    _task_localize_shard,
-                    epoch,
-                    requests[start:end],
-                    batch_size,
-                    self._snapshot_blob(),
-                ).result()
-            results.extend(shard_results)
-            counters.worker_cache_hits += delta["hits"]
-            counters.worker_cache_misses += delta["misses"]
-            counters.worker_cache_cross_epoch_hits += delta["cross_epoch_hits"]
-            counters.worker_memo_hits += delta.get("memo_hits", 0)
-            counters.worker_memo_misses += delta.get("memo_misses", 0)
-            counters.worker_memo_cross_epoch_hits += delta.get(
-                "memo_cross_epoch_hits", 0
-            )
-        return results
 
     # ------------------------------------------------------------------
     # Campaign simulation
@@ -473,14 +203,11 @@ class ExecutionRuntime:
 
         Submission is windowed, not bulk: at most ``2 * n_workers``
         simulation tasks are in flight at a time, the next one submitted
-        only as results are consumed.  ``ProcessPoolExecutor`` has no
-        task priorities — it drains its queue FIFO — so keeping the sim
-        queue shallow is what lets an interleaved :meth:`localize_many`
-        dispatch (a streaming campaign localizing mutants while later
-        mutants still simulate) run its shards after at most one window
-        of sim tasks instead of stalling behind the campaign's whole
-        backlog.  The window still keeps every worker busy: ``n_workers``
-        tasks run while ``n_workers`` more sit queued.
+        only as results are consumed.  The window keeps every worker
+        busy (``n_workers`` tasks run while ``n_workers`` more sit
+        queued) without pickling and queueing the campaign's whole
+        mutant list up front, and a consumer that stops early (a closed
+        stream) leaves at most one window of tasks to drain.
         """
         pool = self._ensure_pool()
         ctx_id = self._next_ctx_id
@@ -541,24 +268,10 @@ class ExecutionRuntime:
     # ------------------------------------------------------------------
     def stats(self) -> RuntimeStats:
         """Snapshot of the runtime's counters (see :class:`RuntimeStats`)."""
-        c = self._counters
         return RuntimeStats(
             n_workers=self.n_workers,
             start_method=self.start_method,
             started=self.started,
             closed=self.closed,
-            pools_started=c.pools_started,
-            campaigns_served=c.campaigns_served,
-            corpus_runs=c.corpus_runs,
-            localize_calls=c.localize_calls,
-            tasks_dispatched=c.tasks_dispatched,
-            weight_epoch=self._weight_epoch,
-            weight_refresh_dispatches=c.weight_refresh_dispatches,
-            last_shard_sizes=c.last_shard_sizes,
-            worker_cache_hits=c.worker_cache_hits,
-            worker_cache_misses=c.worker_cache_misses,
-            worker_cache_cross_epoch_hits=c.worker_cache_cross_epoch_hits,
-            worker_memo_hits=c.worker_memo_hits,
-            worker_memo_misses=c.worker_memo_misses,
-            worker_memo_cross_epoch_hits=c.worker_memo_cross_epoch_hits,
+            **asdict(self._counters),
         )

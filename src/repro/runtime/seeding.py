@@ -1,12 +1,12 @@
 """Deterministic seed derivation for parallel execution.
 
 Every parallel code path in the system derives its random streams from
-*task identity* (design index, mutation node, shard index) — never from
+*task identity* (design index, mutation node) — never from
 worker identity or schedule — so a run is bit-identical whether it
 executes sequentially, on two workers, or on twenty.  This module is the
 single home of those derivations.
 
-Two legacy derivations are pinned to their historical arithmetic because
+Both derivations are pinned to their historical arithmetic because
 committed artifacts depend on the exact streams they produce (the RVDG
 corpus behind the committed model fixture, and every recorded campaign
 outcome):
@@ -15,48 +15,9 @@ outcome):
   generation;
 * :func:`mutant_topup_seed` — the per-mutant extra-testbench seed of the
   campaign correct-trace top-up.
-
-New streams should use :func:`derive_seed`, a SplitMix64-style mixer
-that decorrelates arbitrary ``(base, *stream)`` tuples.
 """
 
 from __future__ import annotations
-
-_MASK64 = (1 << 64) - 1
-
-
-def _splitmix64(value: int) -> int:
-    """One SplitMix64 scramble round (public-domain constants)."""
-    value = (value + 0x9E3779B97F4A7C15) & _MASK64
-    value = ((value ^ (value >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    value = ((value ^ (value >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return value ^ (value >> 31)
-
-
-def derive_seed(base: int, *stream: int | str) -> int:
-    """Derive a decorrelated 63-bit seed from a base seed and a stream id.
-
-    The stream components identify the *task*, not the worker executing
-    it: ``derive_seed(seed, "shard", 3)`` names the same stream on every
-    schedule, which is what makes parallel runs reproducible.  String
-    components are folded in bytewise so distinct labels cannot collide
-    with small integers.
-
-    Args:
-        base: The run-level seed (e.g. ``SessionConfig.seed``).
-        stream: Any mix of ints and short labels identifying the stream.
-
-    Returns:
-        A non-negative seed suitable for ``np.random.default_rng``.
-    """
-    acc = _splitmix64(base & _MASK64)
-    for component in stream:
-        if isinstance(component, str):
-            for byte in component.encode():
-                acc = _splitmix64(acc ^ byte)
-        else:
-            acc = _splitmix64(acc ^ (component & _MASK64))
-    return acc >> 1  # keep it positive for consumers that require >= 0
 
 
 def corpus_design_seed(seed: int, design_index: int) -> int:
@@ -64,7 +25,7 @@ def corpus_design_seed(seed: int, design_index: int) -> int:
 
     The arithmetic form predates this module and is load-bearing: the
     committed model fixture was trained on the corpus these seeds
-    produce.  Do not migrate it to :func:`derive_seed`.
+    produce.
     """
     return seed * 7919 + design_index
 

@@ -1,28 +1,17 @@
 """Worker-process side of the execution runtime.
 
 Each pool worker is a plain Python process (spawned, never forked — see
-:class:`~repro.runtime.ExecutionRuntime`) whose entire mutable state
-lives in the module-level :data:`_STATE` dict:
+:class:`~repro.runtime.ExecutionRuntime`) whose entire mutable state is
+the module-level :data:`_STATE` dict: a small LRU of campaign contexts
+(golden design, stimuli, golden traces, trace policy).  Simulation tasks
+carry their context as a pre-pickled blob that is deserialized once per
+worker per campaign and served from this store afterwards.
 
-* ``engine`` — a worker-local :class:`LocalizationEngine` built from the
-  weight snapshot shipped at pool init (``initargs``), tagged with the
-  weight epoch it was built from.  The model carries no autograd state:
-  localization runs entirely on the no-grad fast path, so the snapshot
-  is read-only by construction.  When the parent retrains or reloads
-  weights it bumps the epoch and attaches a refreshed snapshot to the
-  next shard task; the worker rebuilds only when the tags disagree.
-* ``contexts`` — a small LRU of campaign contexts (golden design,
-  stimuli, golden traces, trace policy).  Simulation tasks carry their
-  context as a pre-pickled blob that is deserialized once per worker per
-  campaign and served from this store afterwards.
-
-Task functions return plain picklable values; localization shards also
-return the worker cache's hit/miss delta so the parent runtime can
-aggregate a fleet-wide hit rate.  Traces move in both directions in
-their columnar form (the simulator records struct-of-arrays natively
-and ``Trace`` serializes the same arrays), so neither the worker nor
-the parent ever materializes per-execution record objects for transport
-— the explainer dedups straight off the columns on arrival.
+Task functions return plain picklable values.  Mutant traces travel
+back in their columnar form (the simulator records struct-of-arrays
+natively and ``Trace`` serializes the same arrays), so neither the
+worker nor the parent materializes per-execution record objects for
+transport — the explainer dedups straight off the columns on arrival.
 """
 
 from __future__ import annotations
@@ -30,53 +19,11 @@ from __future__ import annotations
 import pickle
 import time
 from collections import OrderedDict
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any
-
-import numpy as np
-
-if TYPE_CHECKING:  # pragma: no cover - worker-side imports are lazy
-    from ..core.config import VeriBugConfig
-    from ..core.localizer import LocalizationResult
+from typing import Any
 
 #: Campaign contexts retained per worker; one campaign rarely overlaps
 #: more than one other, so a handful bounds memory without thrashing.
 MAX_CONTEXTS = 4
-
-
-@dataclass
-class ModelPayload:
-    """Everything a worker needs to rebuild the session's model read-only.
-
-    Attributes:
-        config: Model hyper-parameters (architecture must match ``state``).
-        state: A ``state_dict`` snapshot of the trained weights.
-        epoch: The weight epoch the snapshot was taken at.
-        cache_enabled / cache_max_entries: Session cache policy, applied
-            to the worker-local :class:`ContextEmbeddingCache`.
-        memo_enabled / memo_max_entries: Session attention-row memo
-            policy, applied to the worker-local :class:`AttentionRowMemo`.
-        fast_inference: Mirror of the session's inference-arm switch.
-    """
-
-    config: "VeriBugConfig"
-    state: dict[str, np.ndarray]
-    epoch: int
-    cache_enabled: bool = True
-    cache_max_entries: int = 100_000
-    memo_enabled: bool = True
-    memo_max_entries: int = 100_000
-    fast_inference: bool = True
-
-
-class StaleWorkerWeights(RuntimeError):
-    """A shard arrived for a weight epoch this worker cannot satisfy.
-
-    Happens when this worker missed the best-effort refresh broadcast a
-    weight change triggers (it was busy, or spawned later with the pool's
-    original init snapshot).  The parent catches this and resubmits the
-    shard with the refresh snapshot attached.
-    """
 
 
 class MissingWorkerContext(RuntimeError):
@@ -89,105 +36,10 @@ class MissingWorkerContext(RuntimeError):
     """
 
 
-#: Worker-process state (one dict per process; set by the initializer).
+#: Worker-process state (one dict per spawned process).
 _STATE: dict[str, Any] = {
-    "model_init": None,  # ModelPayload | None shipped via initargs
-    "engine": None,  # (epoch, LocalizationEngine)
     "contexts": OrderedDict(),  # ctx_id -> campaign context tuple
 }
-
-
-def _init_worker(model_init_blob: bytes | None) -> None:
-    """Pool initializer: stash the (pickled) weight snapshot.
-
-    The blob is pickled once in the parent and handed to every worker the
-    pool ever spawns; the model itself is built lazily on the first
-    localization shard so simulation-only pools never pay for it.
-    """
-    _STATE["model_init"] = (
-        pickle.loads(model_init_blob) if model_init_blob is not None else None
-    )
-    _STATE["engine"] = None
-    _STATE["contexts"] = OrderedDict()
-
-
-def _build_engine(payload: ModelPayload):
-    """Construct a worker-local localization engine from a snapshot."""
-    # Imports are deferred so pool startup only pays for them when a
-    # localization shard actually arrives.
-    from ..core import BatchEncoder, Vocabulary
-    from ..core.localizer import LocalizationEngine
-    from ..core.model import VeriBugModel
-
-    vocab = Vocabulary()
-    model = VeriBugModel(payload.config, vocab)
-    model.load_state_dict(payload.state)
-    model.context_cache.configure(
-        enabled=payload.cache_enabled, max_entries=payload.cache_max_entries
-    )
-    model.attention_memo.configure(
-        enabled=payload.memo_enabled, max_entries=payload.memo_max_entries
-    )
-    engine = LocalizationEngine(
-        model,
-        BatchEncoder(vocab),
-        payload.config,
-        fast_inference=payload.fast_inference,
-    )
-    _STATE["engine"] = (payload.epoch, engine)
-    return engine
-
-
-def _ensure_engine(epoch: int, refresh_blob: bytes | None):
-    """The worker engine for ``epoch``, rebuilding from a refresh if stale."""
-    cached = _STATE["engine"]
-    if cached is not None and cached[0] == epoch:
-        return cached[1]
-    if refresh_blob is not None:
-        payload = pickle.loads(refresh_blob)
-        if payload.epoch == epoch:
-            return _build_engine(payload)
-    init = _STATE["model_init"]
-    if init is not None and init.epoch == epoch:
-        return _build_engine(init)
-    raise StaleWorkerWeights(
-        f"worker has no weights for epoch {epoch}"
-        f" (init epoch: {init.epoch if init else None})"
-    )
-
-
-def _task_localize_shard(
-    epoch: int,
-    requests: list,
-    batch_size: int,
-    refresh_blob: bytes | None = None,
-) -> tuple[list["LocalizationResult"], dict[str, int]]:
-    """Localize one shard of requests on the worker-local engine.
-
-    Execution dedup and the structural context-embedding cache are both
-    worker-local: results are bit-identical to the parent's serial fast
-    path (attention is segment-local and the fused kernel is
-    padding-invariant), only *which process computes them* changes.
-
-    Returns the shard's results plus the cache-counter delta incurred by
-    this shard, for fleet-wide aggregation in the parent.
-    """
-    engine = _ensure_engine(epoch, refresh_blob)
-    cache = engine.model.context_cache
-    memo = engine.model.attention_memo
-    before = (cache.hits, cache.misses, cache.cross_epoch_hits)
-    memo_before = (memo.hits, memo.misses, memo.cross_epoch_hits)
-    results = engine.localize_many(requests, batch_size=batch_size)
-    return results, {
-        "hits": cache.hits - before[0],
-        "misses": cache.misses - before[1],
-        "cross_epoch_hits": cache.cross_epoch_hits - before[2],
-        "entries": len(cache),
-        "memo_hits": memo.hits - memo_before[0],
-        "memo_misses": memo.misses - memo_before[1],
-        "memo_cross_epoch_hits": memo.cross_epoch_hits - memo_before[2],
-        "memo_entries": len(memo),
-    }
 
 
 def _install_context(ctx_id: int, context_blob: bytes | None) -> tuple:
@@ -204,24 +56,6 @@ def _install_context(ctx_id: int, context_blob: bytes | None) -> tuple:
         contexts.popitem(last=False)
     contexts[ctx_id] = context
     return context
-
-
-def _task_refresh_weights(refresh_blob: bytes, delay: float = 0.0) -> int:
-    """Eagerly install a weight snapshot (broadcast after a weight change).
-
-    The small ``delay`` keeps each broadcast task occupying its worker
-    briefly so the batch spreads across the pool instead of one idle
-    worker draining them all; coverage is still best-effort — a worker
-    that missed every broadcast raises :class:`StaleWorkerWeights` on
-    its next shard and is refreshed by the parent's retry.
-    """
-    payload = pickle.loads(refresh_blob)
-    _build_engine(payload)
-    if delay:
-        time.sleep(delay)
-    import os
-
-    return os.getpid()
 
 
 def _task_simulate_mutant(ctx_id: int, context_blob: bytes | None, mutation):

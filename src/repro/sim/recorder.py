@@ -5,7 +5,7 @@ assignment statement per cycle.  Materializing those as
 :class:`~repro.sim.trace.StatementExecution` objects costs one frozen
 dataclass, one operand-value tuple, and several attribute stores per
 execution — easily 10^5 allocations per trace set — only for downstream
-consumers (the explainer's vectorized dedup, the shard wire format) to
+consumers (the explainer's vectorized dedup, the worker wire format) to
 repack them into :class:`~repro.sim.trace.ExecutionColumns` anyway.
 
 :class:`ExecutionRecorder` inverts that: both engines append executed

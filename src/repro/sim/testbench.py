@@ -129,6 +129,45 @@ def _replay_stream(seed: int, n: int) -> list[float]:
 _NP_STATE: np.random.RandomState | None = None
 
 
+@dataclass(frozen=True)
+class _SuitePlan:
+    """The design facts every stimulus of a suite shares, worked out once.
+
+    ``n_draws`` bounds the floats one stimulus can consume on the numpy
+    path: per cycle and randomized input, one hold decision plus one
+    float per bit.
+    """
+
+    config: TestbenchConfig
+    clock: str | None
+    reset: tuple[str, int] | None
+    inputs: list[str]
+    widths: dict[str, int]
+    n_draws: int
+
+
+def _plan_suite(module: Module, config: TestbenchConfig | None) -> _SuitePlan:
+    config = config or TestbenchConfig()
+    if config.stimulus_rng not in STIMULUS_RNGS:
+        raise ValueError(
+            f"unknown stimulus_rng {config.stimulus_rng!r};"
+            f" expected one of {STIMULUS_RNGS}"
+        )
+    clock = identify_clock(module)
+    reset = identify_reset(module)
+    inputs = module.inputs
+    widths = {name: module.decls[name].width for name in inputs}
+    randomized = [
+        name
+        for name in inputs
+        if name != clock
+        and (reset is None or name != reset[0])
+        and name not in config.forced
+    ]
+    n_draws = config.n_cycles * sum(1 + widths[name] for name in randomized)
+    return _SuitePlan(config, clock, reset, inputs, widths, n_draws)
+
+
 def generate_stimulus(
     module: Module,
     config: TestbenchConfig | None = None,
@@ -149,42 +188,26 @@ def generate_stimulus(
     Returns:
         A list of ``config.n_cycles`` dicts, each driving every input.
     """
-    config = config or TestbenchConfig()
-    if config.stimulus_rng not in STIMULUS_RNGS:
-        raise ValueError(
-            f"unknown stimulus_rng {config.stimulus_rng!r};"
-            f" expected one of {STIMULUS_RNGS}"
-        )
-    clock = identify_clock(module)
-    reset = identify_reset(module)
-    inputs = list(module.inputs)
-    widths = {name: module.decls[name].width for name in inputs}
+    return _draw_stimulus(_plan_suite(module, config), seed)
 
+
+def _draw_stimulus(plan: _SuitePlan, seed: int) -> list[dict[str, int]]:
+    config, clock, reset, widths = plan.config, plan.clock, plan.reset, plan.widths
     rng: random.Random | None = None
     draws: list[float] = []
     cursor = 0
     if config.stimulus_rng == "legacy":
         rng = random.Random(seed)
     else:
-        # Bulk-draw an upper bound on the entropy the trace can consume
-        # (per cycle and randomized input: one hold decision plus one
-        # float per bit) and walk it with a cursor in the exact order
-        # the legacy path would call ``rng.random()``.
-        randomized = [
-            name
-            for name in inputs
-            if name != clock
-            and (reset is None or name != reset[0])
-            and name not in config.forced
-        ]
-        bound = config.n_cycles * sum(1 + widths[name] for name in randomized)
-        draws = _replay_stream(seed, bound)
+        # Bulk-draw the entropy bound and walk it with a cursor in the
+        # exact order the legacy path would call ``rng.random()``.
+        draws = _replay_stream(seed, plan.n_draws)
 
     frames: list[dict[str, int]] = []
     previous: dict[str, int] = {}
     for cycle in range(config.n_cycles):
         frame: dict[str, int] = {}
-        for name in inputs:
+        for name in plan.inputs:
             if name == clock:
                 frame[name] = 0
                 continue
@@ -226,7 +249,5 @@ def generate_testbench_suite(
     seed: int = 0,
 ) -> list[list[dict[str, int]]]:
     """Generate ``n_traces`` independent stimuli with derived seeds."""
-    return [
-        generate_stimulus(module, config, seed=seed * 100003 + idx)
-        for idx in range(n_traces)
-    ]
+    plan = _plan_suite(module, config)
+    return [_draw_stimulus(plan, seed * 100003 + idx) for idx in range(n_traces)]

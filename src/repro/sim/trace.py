@@ -297,8 +297,8 @@ class Trace:
     :class:`StatementExecution` during the run), ``executions`` is a
     :class:`_LazyExecutions` view over those columns, and serialization
     ships the arrays as-is — zero repacking on either side of a process
-    boundary (campaign workers return traces, localization shards receive
-    them; a recorded trace holds easily 10^5 executions per shard).  The
+    boundary (campaign workers return mutant traces; one campaign's trace
+    sets hold easily 10^5 executions).  The
     record list materializes only when something explicitly indexes or
     iterates it; the inference fast path dedups straight off the columns
     and never does.  ``executions`` is a plain (possibly empty) record

@@ -25,7 +25,6 @@ import pytest
 
 from repro.api import (
     DEFAULT_PLAN,
-    CampaignHandle,
     HeatmapSnapshot,
     SessionConfig,
     VeriBugSession,

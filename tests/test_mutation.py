@@ -26,7 +26,7 @@ from repro.sim import (
     generate_testbench_suite,
 )
 from repro.verilog import parse_module
-from repro.verilog.ast_nodes import Identifier, UnaryOp
+from repro.verilog.ast_nodes import BitSelect, Identifier, PartSelect, UnaryOp
 from repro.verilog.printer import format_module, statement_source
 
 CORPUS = pathlib.Path(__file__).resolve().parents[1] / "examples" / "corpus"
@@ -278,6 +278,11 @@ def _reference_apply(golden, mutation):
     elif mutation.replacement == "remove":
         _reference_replace(stmt, node, node.operand)
     else:
+        # Negating a select base negates the whole select.
+        for parent in stmt.rhs.walk():
+            if isinstance(parent, (BitSelect, PartSelect)) and parent.base is node:
+                node = parent
+                break
         wrapper = UnaryOp(op="~", operand=node, line=node.line, col=node.col)
         _reference_replace(stmt, node, wrapper)
     return mutant
@@ -313,8 +318,7 @@ def _assert_path_copies(golden):
         mutant = apply_mutation(golden, mutation)
         assert mutant is not golden
         # Dataclass equality compares every field of every node, so it
-        # implies equal printed source; it also covers mutants the
-        # printer rejects (a negated select base, e.g. ``~x[3:0]``).
+        # implies equal printed source.
         assert mutant == _reference_apply(golden, mutation), mutation.detail
         assert mutant.decls is golden.decls
         assert mutant.params is golden.params
@@ -357,6 +361,48 @@ class TestStructureSharing:
         assert Simulator(golden).program is program
         after = [(t.outputs, list(t.executions)) for t in simulator.run_suite(stimuli)]
         assert after == before
+
+
+def _assert_negation_inserts_run(golden):
+    """Every negation-insert mutant prints, and the interpreted oracle and
+    the compiled engine simulate it identically."""
+    stimuli = generate_testbench_suite(golden, 2, TestbenchConfig(n_cycles=6), seed=4)
+    inserts = [
+        m for m in enumerate_mutations(golden, kinds=("negation",))
+        if m.replacement == "insert"
+    ]
+    for mutation in inserts:
+        mutant = apply_mutation(golden, mutation)
+        format_module(mutant)
+        runs = {}
+        for engine in ("interpreted", "compiled"):
+            try:
+                traces = Simulator(mutant, engine=engine).run_suite(stimuli)
+                runs[engine] = [(t.outputs, list(t.executions)) for t in traces]
+            except SimulationError:
+                runs[engine] = "oscillates"
+        assert runs["interpreted"] == runs["compiled"], mutation.detail
+
+
+class TestNegationInsert:
+    def test_select_base_negates_the_whole_select(self):
+        golden = parse_module(
+            "module t(a, y); input [7:0] a; output [3:0] y;"
+            " assign y = a[5:2]; endmodule"
+        )
+        (mutation,) = enumerate_mutations(golden, kinds=("negation",))
+        assert mutation.replacement == "insert"
+        mutant = apply_mutation(golden, mutation)
+        assert statement_source(mutant.statements()[0]).endswith("~a[5:2];")
+
+    @pytest.mark.parametrize("name", list(REGISTRY))
+    def test_registry_negation_inserts_run(self, name):
+        _assert_negation_inserts_run(load_design(name))
+
+    def test_corpus_negation_inserts_run(self):
+        corpus = ingest_directory(CORPUS)
+        for name in corpus.names():
+            _assert_negation_inserts_run(corpus.module(name))
 
 
 # ----------------------------------------------------------------------

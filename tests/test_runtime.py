@@ -1,17 +1,14 @@
-"""Execution-runtime guarantees: sharding, reuse, refresh, shutdown.
+"""Execution-runtime guarantees: reuse, windowed dispatch, shutdown.
 
 The runtime layer's contract (see ``docs/architecture.md``, "Execution
 runtime") is pinned here:
 
-* sharded ``localize_many`` is observably identical to the serial fast
-  path (rankings equal, suspiciousness within 1e-9);
+* a worker session localizes exactly like a sequential one (the pool
+  simulates only; localization stays in-process);
 * one session = one process pool, reused across campaigns and corpus
   runs (pool reuse is the whole point of the layer);
-* weight changes (``load_state_dict`` / ``Trainer.train``) propagate to
-  workers through the epoch-tagged refresh protocol;
 * ``close()`` joins every worker process — nothing leaks;
-* pools are spawn-safe by construction, and seed derivation depends on
-  task identity only.
+* pools are spawn-safe by construction.
 """
 
 from __future__ import annotations
@@ -30,7 +27,7 @@ from repro.datagen.campaign import _simulate_mutant
 from repro.datagen.mutation import apply_mutation
 from repro.designs import design_info, design_testbench, load_design
 from repro.pipeline import CorpusSpec
-from repro.runtime import ExecutionRuntime, derive_seed, plan_shards
+from repro.runtime import ExecutionRuntime
 
 CACHE = pathlib.Path(__file__).parent / ".cache" / "model_e30_d20_s1.npz"
 PAPER_CONFIG = VeriBugConfig(epochs=30)
@@ -95,7 +92,7 @@ def _build_requests() -> list[LocalizationRequest]:
 @pytest.fixture(scope="module")
 def requests():
     built = _build_requests()
-    assert len(built) >= 2, "workload must produce shardable batches"
+    assert len(built) >= 2, "workload must produce a multi-request batch"
     return built
 
 
@@ -108,38 +105,14 @@ def _assert_identical(got, want):
             assert abs(a.heatmap.suspiciousness[stmt_id] - score) <= TOL
 
 
-class TestShardedLocalization:
-    def test_matches_serial_fast_path(self, worker_session, requests):
-        serial = _paper_session(n_workers=0)
+class TestInProcessLocalization:
+    def test_worker_session_matches_sequential(self, worker_session, requests):
         _assert_identical(
             worker_session.localize_many(requests),
-            serial.localize_many(requests),
+            _paper_session(n_workers=0).localize_many(requests),
         )
-        stats = worker_session.runtime_stats()
-        assert stats["localize_calls"] >= 1
-        assert sum(stats["last_shard_sizes"]) == len(requests)
-        assert len(stats["last_shard_sizes"]) == min(2, len(requests))
-
-    def test_single_request_stays_in_process(self, requests):
-        session = _paper_session(n_workers=2)
-        try:
-            session.localize_many(requests[:1])
-            # One request cannot amortize worker dispatch: the fast path
-            # runs in-process and the pool is never even started.
-            assert not session.runtime.started
-        finally:
-            session.close()
-
-    def test_shard_plan_is_contiguous_and_balanced(self):
-        assert plan_shards(0, 4) == []
-        assert plan_shards(3, 4) == [(0, 1), (1, 2), (2, 3)]
-        assert plan_shards(10, 4) == [(0, 3), (3, 6), (6, 8), (8, 10)]
-        for n_items, n_shards in ((1, 1), (7, 2), (16, 5), (23, 8)):
-            spans = plan_shards(n_items, n_shards)
-            assert spans[0][0] == 0 and spans[-1][1] == n_items
-            assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
-            sizes = [end - start for start, end in spans]
-            assert max(sizes) - min(sizes) <= 1
+        # Localization never touches the pool.
+        assert not worker_session.runtime.started
 
 
 class TestPoolLifecycle:
@@ -212,7 +185,7 @@ class TestPoolLifecycle:
     def test_clean_shutdown_leaves_no_processes(self, requests):
         before = set(multiprocessing.active_children())
         session = _paper_session(n_workers=2)
-        session.localize_many(requests)
+        session.runtime.warm_up()
         assert session.runtime.started
         session.close()
         leaked = [
@@ -228,50 +201,17 @@ class TestPoolLifecycle:
         runtime.close()
         runtime.close()
         with pytest.raises(RuntimeError):
-            runtime.localize_many([object()])
+            runtime.warm_up()
 
-    def test_ephemeral_runtime_scopes_to_with_block(self):
-        with ExecutionRuntime.ephemeral(1) as runtime:
+    def test_runtime_scopes_to_with_block(self):
+        with ExecutionRuntime(1) as runtime:
             pids = runtime.warm_up()
             assert len(pids) == 1
         assert runtime.closed
 
 
-class TestWeightRefresh:
-    def test_sharded_results_track_retrained_weights(self, requests):
-        session = _paper_session(n_workers=2)
-        try:
-            stale = session.localize_many(requests)
-            # Perturb the weights wholesale, as a retrain would.
-            state = session.model.state_dict()
-            state["attention_vector"] = state["attention_vector"] * 1.5
-            state["epsilon"] = state["epsilon"] + 0.25
-            session.model.load_state_dict(state)
-            assert session.runtime.weight_epoch == 1
-
-            refreshed = session.localize_many(requests)
-            stats = session.runtime_stats()
-            assert stats["weight_refresh_dispatches"] >= 1
-
-            reference = _paper_session(n_workers=0)
-            reference.model.load_state_dict(state)
-            _assert_identical(refreshed, reference.localize_many(requests))
-            # The perturbation must actually have changed something,
-            # otherwise this test pins nothing.
-            changed = any(
-                abs(a.heatmap.suspiciousness[s] - b.heatmap.suspiciousness[s])
-                > TOL
-                for a, b in zip(stale, refreshed)
-                for s in a.heatmap.suspiciousness
-                if s in b.heatmap.suspiciousness
-            )
-            assert changed
-        finally:
-            session.close()
-
-
 class TestColumnarTraces:
-    """The columnar trace wire format feeding the sharded path."""
+    """The columnar trace wire format campaign workers return."""
 
     def _roundtrip(self, traces):
         import pickle
@@ -427,13 +367,8 @@ class _FakePool:
 
 
 class TestWindowedSimulationDispatch:
-    """Campaign sims must not monopolize the executor queue.
-
-    ``ProcessPoolExecutor`` drains FIFO with no priorities, so the only
-    way an interleaved ``localize_many`` dispatch (streaming campaigns
-    localize mutants while later mutants still simulate) can run promptly
-    is for ``simulate_mutants`` to keep at most one small window of sim
-    tasks queued — never the whole campaign backlog.  These tests pin the
+    """``simulate_mutants`` keeps at most one small window of sim tasks
+    queued — never the whole campaign backlog.  These tests pin the
     window invariant deterministically with a recording fake pool.
     """
 
@@ -458,20 +393,6 @@ class TestWindowedSimulationDispatch:
         assert consumed == mutations  # mutation order preserved
         assert len(fake.submissions) == len(mutations)
         assert runtime.stats().tasks_dispatched == len(mutations)
-        runtime.close()
-
-    def test_localize_shards_jump_the_sim_backlog(self):
-        """The streaming-campaign interleave: after consuming one sim
-        result, a localize dispatch waits behind at most one window of
-        queued sim tasks, not the campaign's full backlog."""
-        runtime, fake = self._runtime_with_fake_pool(n_workers=2)
-        mutations = [f"m{i}" for i in range(40)]
-        stream = runtime.simulate_mutants(("ctx",), mutations)
-        next(stream)  # consumer now holds one result (and localizes it)
-        window = 2 * runtime.n_workers
-        queued_sims = len(fake.submissions) - 1
-        assert queued_sims <= window  # a shard submitted now runs soon
-        assert len(fake.submissions) < len(mutations)
         runtime.close()
 
     def test_first_window_carries_context_blob(self):
@@ -516,45 +437,6 @@ class TestWorkerProtocol:
         with pytest.raises(MissingWorkerContext):
             _install_context(99, None)
 
-    def test_stale_weights_raise_without_refresh(self):
-        from repro.runtime.worker import (
-            StaleWorkerWeights,
-            _STATE,
-            _ensure_engine,
-        )
-
-        saved = (_STATE["engine"], _STATE["model_init"])
-        _STATE["engine"] = None
-        _STATE["model_init"] = None
-        try:
-            with pytest.raises(StaleWorkerWeights):
-                _ensure_engine(epoch=3, refresh_blob=None)
-        finally:
-            _STATE["engine"], _STATE["model_init"] = saved
-
-    def test_refresh_blob_rebuilds_engine_at_epoch(self):
-        import pickle
-
-        from repro.core import VeriBugConfig, VeriBugModel, Vocabulary
-        from repro.runtime.worker import ModelPayload, _STATE, _ensure_engine
-
-        model = VeriBugModel(VeriBugConfig(), Vocabulary())
-        payload = ModelPayload(
-            config=model.config, state=model.state_dict(), epoch=7
-        )
-        blob = pickle.dumps(payload, protocol=5)
-        saved = (_STATE["engine"], _STATE["model_init"])
-        _STATE["engine"] = None
-        _STATE["model_init"] = None
-        try:
-            engine = _ensure_engine(epoch=7, refresh_blob=blob)
-            assert _STATE["engine"][0] == 7
-            state = engine.model.state_dict()
-            for name, value in model.state_dict().items():
-                assert (state[name] == value).all()
-        finally:
-            _STATE["engine"], _STATE["model_init"] = saved
-
 
 class TestSpawnSafety:
     def test_fork_context_is_rejected(self):
@@ -563,14 +445,3 @@ class TestSpawnSafety:
 
     def test_session_runtime_uses_spawn(self, worker_session):
         assert worker_session.runtime.start_method == "spawn"
-
-    def test_derive_seed_is_deterministic_and_stream_separated(self):
-        assert derive_seed(13, "shard", 0) == derive_seed(13, "shard", 0)
-        seen = {
-            derive_seed(seed, label, index)
-            for seed in (0, 1, 13)
-            for label in ("shard", "corpus")
-            for index in range(8)
-        }
-        assert len(seen) == 3 * 2 * 8  # no collisions across streams
-        assert all(seed >= 0 for seed in seen)

@@ -65,8 +65,6 @@ class TestGeneration:
     def test_max_operands_respected(self):
         config = RVDGConfig(max_operands=2, max_operators=1)
         module = RandomVerilogDesignGenerator(config, seed=4).generate("d")
-        from repro.verilog import collect_identifiers
-
         for stmt in module.statements():
             # at most 2 operand instances per statement under this config
             count = sum(
